@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint lint-rules lint-baseline chaos audit bench bench-smoke soak latency console experiments
+.PHONY: test lint lint-rules lint-baseline chaos audit bench bench-smoke soak latency perfbench console experiments
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -63,6 +63,18 @@ latency:
 		--out latency-smoke.json \
 		--gate-latency-regression ci/latency-smoke.json
 	$(PYTHON) -m repro.bench --validate latency-smoke.json
+
+# The repository benchmark (perfbench/, declared in BENCHMARK.json): one
+# workload and seed for DURATION wall seconds. TRACE=0 prints the
+# end-to-end metrics, TRACE=1 the per-layer ones; the last line is JSON
+# with the run's ``correct`` verdict. W is steady, geo_bulk or failover.
+W ?= geo_bulk
+SEED ?= 7
+TRACE ?= 0
+DURATION ?= 40
+perfbench:
+	python3 perfbench/run.py --workload $(W) --seed $(SEED) \
+		--seconds $(DURATION) --trace $(TRACE)
 
 # Seeded audited chaos run -> schema-checked bundle -> offline replay.
 console:

@@ -156,8 +156,9 @@ def _gate_wire_codec(results, minimum: float, progress) -> int:
 
 
 def _gate_latency(document, baseline_path: str, tolerance: float, progress) -> int:
-    """Exit code for the latency regression gate: 0 iff no segment or
-    end-to-end p99 in ``document`` regressed versus the baseline."""
+    """Exit code for the latency regression gate: 0 iff the baseline
+    carries latency blocks and no segment or end-to-end p99 in
+    ``document`` regressed versus it."""
     try:
         with open(baseline_path, "r", encoding="utf-8") as handle:
             baseline = json.load(handle)
@@ -173,11 +174,13 @@ def _gate_latency(document, baseline_path: str, tolerance: float, progress) -> i
         if isinstance(result, dict) and "latency" in result
     )
     if not gated:
+        # A baseline without latency blocks would gate nothing; passing
+        # it would turn a wrong or stale baseline into a silent pass.
         progress(
             f"gate: {baseline_path} carries no latency blocks "
-            "(pre-v4 baseline); nothing to compare"
+            "(pre-v4 baseline); FAIL"
         )
-        return 0
+        return 1
     for violation in violations:
         progress(f"gate: latency regression: {violation}")
     verdict = "FAIL" if violations else "ok"

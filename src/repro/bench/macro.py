@@ -476,14 +476,21 @@ def _make_sustained(seed: int):
             "retained_bound": SUSTAINED_RETAINED_BOUND,
             "heap_compactions": sim.compactions,
             "timers_cancelled": sim.events_cancelled,
-            "log_truncations": sum(
+            "truncations_applied": sum(
+                node.truncations_applied for node in deployment.all_nodes()
+            ),
+            "entries_truncated": sum(
                 node.local_log.base_position - 1
                 for node in deployment.all_nodes()
             ),
             "snapshot_installs": sum(
                 node.snapshot_installs for node in deployment.all_nodes()
             ),
-            "stable_checkpoints": sum(
+            "checkpoint_certificates": sum(
+                node.checkpoint_certificates
+                for node in deployment.all_nodes()
+            ),
+            "stable_checkpoint_seq_sum": sum(
                 node.stable_checkpoint for node in deployment.all_nodes()
             ),
         }

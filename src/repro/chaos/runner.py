@@ -412,7 +412,12 @@ class ChaosRunner:
             "snapshot_installs": sum(
                 node.snapshot_installs for node in deployment.all_nodes()
             ),
-            "log_truncations": {
+            "truncations_applied": {
+                site: unit.nodes[0].truncations_applied
+                for site, unit in deployment.units.items()
+                if unit.nodes[0].truncations_applied
+            },
+            "entries_truncated": {
                 site: unit.nodes[0].local_log.base_position - 1
                 for site, unit in deployment.units.items()
                 if unit.nodes[0].local_log.base_position > 1

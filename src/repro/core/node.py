@@ -159,6 +159,8 @@ class BlockplaneNode(PBFTReplica):
         self._read_collectors: Dict[Tuple[str, int], Dict[str, Any]] = {}
         #: Gateway-only guard: a truncation proposal is outstanding.
         self._truncate_inflight = False
+        #: Committed truncate markers this replica applied.
+        self.truncations_applied = 0
         self.on_executed.append(self._apply_entry)
 
     # ------------------------------------------------------------------
@@ -421,6 +423,7 @@ class BlockplaneNode(PBFTReplica):
         marker entry itself always survives: the bound never exceeds a
         certified snapshot base, which precedes the marker's position."""
         self._truncate_inflight = False
+        self.truncations_applied += 1
         before = self.local_log.retained_count
         self.local_log.truncate_before(committed.value)
         dropped = before - self.local_log.retained_count

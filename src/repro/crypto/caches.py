@@ -87,6 +87,16 @@ class IdentityLRU:
         self._entries.move_to_end(key)
         return entry[1]
 
+    def holds(self, obj: Any) -> bool:
+        """Whether ``obj`` itself is pinned by an entry.
+
+        A pure membership test: it neither counts a hit or miss nor
+        refreshes the entry's LRU position, so probing leaves the work
+        counters and the eviction order exactly as they were.
+        """
+        entry = self._entries.get(id(obj))
+        return entry is not None and entry[0] is obj
+
     def store(self, obj: Any, value: Any) -> None:
         """Record ``value`` for ``obj``, evicting the LRU tail."""
         key = id(obj)

@@ -68,17 +68,24 @@ def canonical_dataclass_close() -> _Emit:
     return _CLOSE_DATACLASS
 
 
-def _canonical_into(value: Any, out: List[bytes]) -> None:
+def _canonical_into(value: Any, out: List[bytes]) -> Optional[bool]:
     """Append the canonical byte representation of ``value`` to ``out``.
 
     Iterative depth-first walk; children are pushed in reverse so pops
     emit them in order. Exact types take the fast path; subclasses fall
     back to the isinstance chain so e.g. ``IntEnum`` members serialize
     exactly as before.
+
+    Returns the walk's by-product deep-immutability verdict: False once
+    a list, dict or set is met; None if the tree holds a dataclass or a
+    subclass of a basic type, which only :func:`_deeply_immutable`
+    decides; True when every node was an exact immutable leaf, tuple or
+    frozenset.
     """
     append = out.append
     stack: List[Any] = [value]
     pop = stack.pop
+    verdict: Optional[bool] = True
     while stack:
         v = pop()
         cls = v.__class__
@@ -109,11 +116,13 @@ def _canonical_into(value: Any, out: List[bytes]) -> None:
             for item in reversed(v):
                 stack.append(item)
         elif cls is list:
+            verdict = False
             append(b"l%d[" % len(v))
             stack.append(_CLOSE_LIST)
             for item in reversed(v):
                 stack.append(item)
         elif cls is dict:
+            verdict = False
             append(b"d%d{" % len(v))
             stack.append(_CLOSE_DICT)
             try:
@@ -126,16 +135,21 @@ def _canonical_into(value: Any, out: List[bytes]) -> None:
                 stack.append(item)
                 stack.append(key)
         elif cls is set or cls is frozenset:
+            if cls is set:
+                verdict = False
             append(b"S%d(" % len(v))
             stack.append(_CLOSE_SET)
             for item in sorted(v, key=repr, reverse=True):
                 stack.append(item)
         else:
+            if verdict:
+                verdict = None
             expander = _CANONICAL_EXPANDERS.get(cls)
             if expander is not None:
                 expander(v, append, stack)
             else:
                 _canonical_slow(v, append, stack)
+    return verdict
 
 
 def _repr_of_key(kv: Any) -> str:
@@ -216,11 +230,17 @@ def stable_digest(value: Any) -> str:
 
 #: Shared memo for :func:`cached_digest`. Entries pin their keyed
 #: object, so identity keys cannot be recycled while cached (see
-#: :class:`~repro.crypto.caches.IdentityLRU`).
+#: :class:`~repro.crypto.caches.IdentityLRU`). Only values that passed
+#: the deep-immutability check are stored, so a pinned object's whole
+#: subtree is proven immutable for as long as its entry lives.
 _DIGEST_CACHE = IdentityLRU(maxsize=8192)
 
 #: Leaf types that can never change value in place.
 _IMMUTABLE_LEAVES = (type(None), bool, int, float, str, bytes)
+
+#: The same leaves as exact classes, for a set test ahead of the
+#: verdict lookup (subclasses still take the isinstance check).
+_LEAF_CLASSES = frozenset(_IMMUTABLE_LEAVES)
 
 #: Per-class immutability verdicts installed by :mod:`repro.core.codec`:
 #: for a MANIFEST class, ``False`` means "never deeply immutable" (not
@@ -247,13 +267,22 @@ def _deeply_immutable(value: Any) -> bool:
     into a different canonical form. Frozen dataclasses qualify when
     every field value does; lists, dicts, sets, and non-frozen
     dataclasses do not.
+
+    Sub-objects pinned in the digest memo are skipped: they were proven
+    immutable before they were stored, so the proof is paid once per
+    object rather than once per enclosing record.
     """
     verdicts = _IMMUTABILITY_VERDICTS
+    leaves = _LEAF_CLASSES
+    pinned = _DIGEST_CACHE.holds
     stack = [value]
     pop = stack.pop
     while stack:
         v = pop()
-        verdict = verdicts.get(v.__class__)
+        cls = v.__class__
+        if cls in leaves or pinned(v):
+            continue
+        verdict = verdicts.get(cls)
         if verdict is not None:
             if verdict is False:
                 return False
@@ -292,16 +321,25 @@ def cached_digest(
 
     Mutable values (anything failing the deep-immutability check) are
     never cached — they take the compute path every time, so the memo
-    needs no invalidation hooks.
+    needs no invalidation hooks. With the default ``compute`` the
+    verdict comes from the canonical walk itself; only a tree holding
+    dataclasses or subclasses is walked a second time.
     """
-    fn = compute if compute is not None else stable_digest
     if not caches_enabled():
-        return fn(obj)
+        return (compute or stable_digest)(obj)
     hit = _DIGEST_CACHE.lookup(obj)
     if hit is not None:
         return hit
-    digest = fn(obj)
-    if _deeply_immutable(obj):
+    if compute is None:
+        out: List[bytes] = []
+        immutable = _canonical_into(obj, out)
+        digest = hashlib.sha256(b"".join(out)).hexdigest()
+        if immutable is None:
+            immutable = _deeply_immutable(obj)
+    else:
+        digest = compute(obj)
+        immutable = _deeply_immutable(obj)
+    if immutable:
         _DIGEST_CACHE.store(obj, digest)
     return digest
 

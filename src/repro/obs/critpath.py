@@ -105,7 +105,9 @@ _ORDER_INDEX = {name: index for index, name in enumerate(SEGMENT_ORDER)}
 
 #: Span names whose end extends the decomposition window past the
 #: root's own end: the op is only semantically complete once the
-#: destination applied the record and the geo proofs are in.
+#: destination applied the record and the geo proofs are in. Only the
+#: first span of each name counts — a backup daemon's re-shipment
+#: gathers the proofs again long after the op completed.
 _COMPLETION_MARKERS = ("receive.apply", "geo.proofs")
 
 
@@ -119,11 +121,12 @@ class TraceDecomposition:
     """One committed op's latency, partitioned into segments.
 
     ``end_to_end_ms`` is the completion window (root start to the
-    latest of root end and the receive-apply/geo-proof completion
-    markers — for plain log commits this equals the root ``commit``
-    span's duration, recorded separately as ``commit_ms``). The
-    conservation invariant ``sum(segments.values()) + unattributed_ms
-    == end_to_end_ms`` holds up to ``conservation_error_ms``.
+    latest of root end and the first receive-apply and first
+    geo-proof completion markers — for plain log commits this equals
+    the root ``commit`` span's duration, recorded separately as
+    ``commit_ms``). The conservation invariant
+    ``sum(segments.values()) + unattributed_ms == end_to_end_ms`` holds
+    up to ``conservation_error_ms``.
     """
 
     trace_id: int
@@ -211,10 +214,14 @@ def decompose(spans: Sequence[Span]) -> Optional[TraceDecomposition]:
         return result
 
     t0 = root.start_ms
-    t1 = root.end_ms
+    first_marker_end: Dict[str, float] = {}
     for span in spans:
         if span.name in _COMPLETION_MARKERS:
-            t1 = max(t1, _effective_end(span))
+            end = _effective_end(span)
+            known = first_marker_end.get(span.name)
+            if known is None or end < known:
+                first_marker_end[span.name] = end
+    t1 = max([root.end_ms, *first_marker_end.values()])
     boundaries = {t0, t1}
     for span in spans:
         end = _effective_end(span)

@@ -245,6 +245,8 @@ class PBFTReplica(Node):
         # (0 = full log retained). Catch-up requests at or below it are
         # served by snapshot state transfer instead of entry replay.
         self._executed_gc_seq = 0
+        #: Checkpoint certificates this replica formed from 2f+1 votes.
+        self.checkpoint_certificates = 0
         #: Diagnostics for the state-transfer path.
         self.snapshot_installs = 0
         self.snapshot_install_seq = 0
@@ -1046,6 +1048,7 @@ class PBFTReplica(Node):
             snapshot_digest=snapshot_digest,
             signatures=signatures,
         )
+        self.checkpoint_certificates += 1
         self.stable_checkpoint = seq
         self.stable_certificate = certificate
         # Our own payload for this watermark becomes the served stable

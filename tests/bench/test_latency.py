@@ -1,7 +1,11 @@
 """The latency-attribution bench plumbing and the regression gate."""
 
+import json
+from pathlib import Path
+
 import pytest
 
+from repro.bench.__main__ import _gate_latency
 from repro.bench.latency import (
     ABSOLUTE_SLACK_MS,
     LatencyConservationError,
@@ -10,6 +14,8 @@ from repro.bench.latency import (
 )
 from repro.obs import Observability
 from repro.obs.demo import trace_commit_lifecycle
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 def _doc(p99_by_series, name="macro.commits.sustained"):
@@ -123,3 +129,23 @@ def test_gate_rejects_non_gating_tolerance():
     doc = _doc({"end_to_end": 20.0})
     with pytest.raises(ValueError):
         gate_latency_regression(doc, doc, tolerance=1.0)
+
+
+# ----------------------------------------------------------------------
+# The CLI gate (``--gate-latency-regression``)
+# ----------------------------------------------------------------------
+def test_cli_gate_fails_when_baseline_has_no_latency_blocks(tmp_path):
+    baseline = tmp_path / "baseline.json"
+    baseline.write_text(
+        json.dumps({"results": [{"name": "macro.commits.sustained"}]})
+    )
+    current = _doc({"end_to_end": 20.0})
+    messages = []
+    assert _gate_latency(current, str(baseline), 1.25, messages.append) == 1
+    assert any("no latency blocks" in m for m in messages)
+
+
+def test_cli_gate_passes_the_committed_baseline_against_itself():
+    path = REPO_ROOT / "ci" / "latency-smoke.json"
+    document = json.loads(path.read_text(encoding="utf-8"))
+    assert _gate_latency(document, str(path), 1.25, lambda _: None) == 0

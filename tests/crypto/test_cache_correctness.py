@@ -16,12 +16,16 @@ import dataclasses
 
 import pytest
 
-from repro.core.records import TransmissionRecord
+from repro.core.records import LogEntry, MirrorEntry, TransmissionRecord
+from repro.crypto import digest as digest_module
 from repro.crypto.caches import IdentityLRU, caches_enabled, set_caches_enabled
 from repro.crypto.digest import (
+    _DIGEST_CACHE,
+    _deeply_immutable,
     cached_digest,
     clear_digest_cache,
     digest_cache_stats,
+    set_immutability_verdicts,
     stable_digest,
 )
 from repro.crypto.keys import KeyRegistry
@@ -209,3 +213,85 @@ class TestDigestMemoAgreement:
         assert lru.lookup(b) is None
         assert lru.lookup(a) == "da"
         assert lru.lookup(c) == "dc"
+
+
+@dataclasses.dataclass(frozen=True)
+class _Probe:
+    """Payload element whose immutability check is counted."""
+
+    n: int
+
+
+_RECORD_BUILDERS = {
+    "LogEntry": lambda value: LogEntry(
+        position=4, record_type="commit", value=value
+    ),
+    "MirrorEntry": lambda value: MirrorEntry(
+        source="A", position=4, record_type="commit", value=value
+    ),
+    "TransmissionRecord": lambda value: TransmissionRecord(
+        source="A", destination="B", message=value,
+        source_position=4, prev_position=3,
+    ),
+}
+
+
+class TestImmutabilityProofPaidOncePerObject:
+    @pytest.fixture
+    def visits(self):
+        """Install a counting verdict for :class:`_Probe`; yields the
+        list of probes the deep-immutability check visited."""
+        seen = []
+
+        def verdict(value, stack):
+            seen.append(value)
+            return True
+
+        saved = digest_module._IMMUTABILITY_VERDICTS
+        set_immutability_verdicts({**saved, _Probe: verdict})
+        yield seen
+        set_immutability_verdicts(saved)
+
+    @staticmethod
+    def _payload():
+        return (("op", 1), tuple(_Probe(i) for i in range(8)))
+
+    @pytest.mark.parametrize("kind", sorted(_RECORD_BUILDERS))
+    def test_memoized_payload_is_not_walked_again(self, kind, visits):
+        payload = self._payload()
+        cached_digest(payload)
+        assert len(visits) == 8  # proven once, on its own miss
+        visits.clear()
+        record = _RECORD_BUILDERS[kind](payload)
+        record.digest()
+        assert visits == []
+        assert _DIGEST_CACHE.holds(record)
+
+    @pytest.mark.parametrize("kind", sorted(_RECORD_BUILDERS))
+    def test_fresh_payload_is_proven_exactly_once(self, kind, visits):
+        record = _RECORD_BUILDERS[kind](self._payload())
+        record.digest()
+        # One walk inside the record formula's cached_digest(value),
+        # none in the record's own check.
+        assert len(visits) == 8
+
+    def test_membership_probe_moves_no_counter(self):
+        value = ("x", tuple(range(3)))
+        cached_digest(value)
+        before = digest_cache_stats()
+        assert _DIGEST_CACHE.holds(value)
+        assert not _DIGEST_CACHE.holds(("x", tuple(range(3))))  # equal
+        assert _deeply_immutable(("wrapper", value, [value])) is False
+        assert _deeply_immutable(("wrapper", value))
+        assert digest_cache_stats() == before
+
+    def test_membership_probe_keeps_lru_order(self):
+        lru = IdentityLRU(maxsize=2)
+        a, b, c = ("a",), ("b",), ("c",)
+        lru.store(a, "da")
+        lru.store(b, "db")
+        assert lru.holds(a)
+        lru.store(c, "dc")  # a is still least recently used
+        assert not lru.holds(a)
+        assert lru.holds(b) and lru.holds(c)
+        assert (lru.hits, lru.misses) == (0, 0)

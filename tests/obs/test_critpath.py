@@ -84,6 +84,28 @@ def test_completion_markers_extend_the_window():
     assert d.unattributed_ms == pytest.approx(2.0)
 
 
+def test_window_closes_at_the_first_marker_of_each_kind():
+    # A backup daemon re-ships long after the op completed and gathers
+    # the geo proofs a second time under the same trace. The op was
+    # complete at the first geo.proofs; the second must not stretch the
+    # window over the gap no span covers.
+    spans = [
+        _span(1, "commit", 0.0, 4.0),
+        _span(2, "geo.proofs", 1.0, 6.0, parent_id=1),
+        _span(3, "daemon.ship", 380.0, 381.0, parent_id=1),
+        _span(4, "geo.proofs", 381.0, 386.0, parent_id=1),
+        _span(5, "receive.apply", 8.0, 8.0, parent_id=1),
+    ]
+    d = critpath.decompose(spans)
+    assert d.end_ms == pytest.approx(8.0)
+    assert d.end_to_end_ms == pytest.approx(8.0)
+    assert d.segments["geo.proofs"] == pytest.approx(5.0)  # [1, 6)
+    assert "daemon.ship" not in d.segments
+    # Only [6, 8) is uncovered, not the 378 ms before the re-shipment.
+    assert d.unattributed_ms == pytest.approx(2.0)
+    assert d.unattributed_fraction == pytest.approx(0.25)
+
+
 def test_late_non_marker_work_is_clipped_out():
     # A backup daemon re-ships long after the commit completed; that
     # is availability work, not commit latency, so the window ignores
