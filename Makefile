@@ -33,8 +33,7 @@ audit:
 	$(PYTHON) -m repro obs-audit --seed 7 --runs 2 --profile byzantine --fault-free --strict
 
 bench:
-	$(PYTHON) -m repro.bench --repeats 3 --out BENCH_0008.json \
-		--disable-caches --disable-codec
+	$(PYTHON) -m repro.bench --repeats 3 --out bench.json --disable-caches
 
 # CI gate on the generated wire codecs: the precompiled encode/decode
 # micros must beat the legacy dict-walking path by ≥3× (full runs land

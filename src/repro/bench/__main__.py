@@ -68,12 +68,6 @@ def _parser() -> argparse.ArgumentParser:
         "the control/comparison sections",
     )
     parser.add_argument(
-        "--disable-codec", action="store_true",
-        help="additionally run a codec-disabled control pass (legacy "
-        "data plane: no generated codecs, no digest expanders, legacy "
-        "scheduler) and emit the codec_control/codec_comparison sections",
-    )
-    parser.add_argument(
         "--wire-fidelity", action="store_true",
         help="route every cross-site delivery through encode->bytes->"
         "decode in all passes (virtual time is unaffected; the "
@@ -248,19 +242,12 @@ def main(argv: List[str] = None) -> int:
                 benchmarks, args.seed, args.repeats, args.warmup,
                 caches=False, progress=progress,
             )
-        codec_control = None
-        if args.disable_codec:
-            progress("control pass (codec disabled):")
-            codec_control = run_suite(
-                benchmarks, args.seed, args.repeats, args.warmup,
-                caches=True, codec=False, progress=progress,
-            )
     finally:
         set_wire_fidelity(previous_fidelity)
 
     document = build_document(
         args.seed, args.repeats, args.warmup, results, control,
-        codec_control=codec_control, wire_fidelity=args.wire_fidelity,
+        wire_fidelity=args.wire_fidelity,
     )
     check(document)
 
@@ -281,13 +268,6 @@ def main(argv: List[str] = None) -> int:
         comparison = document.get("comparison", {})
         for name, numbers in comparison.items():
             progress(f"  {name}: speedup ×{numbers['speedup']:.2f}")
-    if codec_control is not None:
-        codec_comparison = document.get("codec_comparison", {})
-        for name, numbers in codec_comparison.items():
-            work = "" if numbers["work_identical"] else " WORK DIVERGED"
-            progress(
-                f"  {name}: codec speedup ×{numbers['speedup']:.2f}{work}"
-            )
     for result in results:
         block = result.extra.get("latency")
         if not block:

@@ -22,20 +22,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.bench import timer
 from repro.bench.schema import SCHEMA_NAME, SCHEMA_VERSION
-from repro.core.codec import set_codec_enabled
 from repro.crypto.caches import set_caches_enabled
-from repro.sim.network import set_transport_fast_path
-from repro.sim.simulator import set_fast_path_enabled
-
-#: Extra-counter keys that are deterministic functions of the benchmark
-#: seed (never wall-clock). Used by the codec comparison to prove the
-#: control pass did identical work before its wall-clock ratio is read.
-_WORK_KEYS = (
-    "completed_ops",
-    "events_processed",
-    "virtual_ms",
-    "messages_sent",
-)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -135,18 +122,9 @@ def run_suite(
     repeats: int,
     warmup: int,
     caches: bool = True,
-    codec: bool = True,
     progress: Optional[Callable[[str], None]] = None,
 ) -> List[BenchResult]:
-    """Run ``benchmarks`` under the requested cache/codec settings.
-
-    ``codec=False`` is the ``--disable-codec`` control configuration:
-    the generated wire codecs, the canonical-digest expanders, the
-    fast-path scheduler, and the fast transport path (hoisted broadcast
-    fan-out plus handler-dispatch memoization) are all reverted — the
-    pre-optimization data plane end to end — while caches keep their
-    requested setting. Both configurations schedule identical events,
-    so the paired comparison holds work constant.
+    """Run ``benchmarks`` with the crypto caches on or off.
 
     Repeats are interleaved round-robin across the suite (every
     benchmark's repeat *k* runs before any benchmark's repeat *k+1*)
@@ -158,20 +136,15 @@ def run_suite(
     puts the entire drift between the two timing blocks into their
     ratio.
 
-    The previous cache/codec settings are restored afterwards, so a
-    control pass cannot leak into later measurements.
+    The previous cache setting is restored afterwards, so a control
+    pass cannot leak into later measurements.
     """
     previous = set_caches_enabled(caches)
-    previous_codec = set_codec_enabled(codec)
-    previous_fast = set_fast_path_enabled(codec)
-    previous_transport = set_transport_fast_path(codec)
     try:
         operations = []
         for benchmark in benchmarks:
             if progress is not None:
                 label = "" if caches else " [no caches]"
-                if not codec:
-                    label += " [no codec]"
                 progress(f"  {benchmark.name}{label} ...")
             operation, ops = benchmark.make(seed)
             last = None
@@ -195,22 +168,6 @@ def run_suite(
         ]
     finally:
         set_caches_enabled(previous)
-        set_codec_enabled(previous_codec)
-        set_fast_path_enabled(previous_fast)
-        set_transport_fast_path(previous_transport)
-
-
-def _work_identical(left: BenchResult, right: BenchResult) -> bool:
-    """Whether two results report the same deterministic work counters.
-
-    Compared over the intersection of :data:`_WORK_KEYS` present on both
-    sides; benchmarks that report none (pure micros) trivially pass.
-    """
-    return all(
-        left.extra[key] == right.extra[key]
-        for key in _WORK_KEYS
-        if key in left.extra and key in right.extra
-    )
 
 
 def build_document(
@@ -219,7 +176,6 @@ def build_document(
     warmup: int,
     results: Sequence[BenchResult],
     control: Optional[Sequence[BenchResult]] = None,
-    codec_control: Optional[Sequence[BenchResult]] = None,
     wire_fidelity: bool = False,
 ) -> Dict[str, Any]:
     """Assemble the schema-versioned BENCH document."""
@@ -230,7 +186,6 @@ def build_document(
         "repeats": max(1, repeats),
         "warmup": max(0, warmup),
         "caches_enabled": True,
-        "codec_enabled": True,
         "wire_fidelity": bool(wire_fidelity),
         "results": [result.to_dict() for result in results],
     }
@@ -251,21 +206,4 @@ def build_document(
                 "speedup": cached.ops_per_sec / controlled.ops_per_sec,
             }
         document["comparison"] = comparison
-    if codec_control is not None:
-        document["codec_control"] = {
-            "codec_enabled": False,
-            "results": [result.to_dict() for result in codec_control],
-        }
-        codec_comparison: Dict[str, Any] = {}
-        for controlled in codec_control:
-            fast = by_name.get(controlled.name)
-            if fast is None:
-                continue
-            codec_comparison[controlled.name] = {
-                "codec_ops_per_sec": fast.ops_per_sec,
-                "control_ops_per_sec": controlled.ops_per_sec,
-                "speedup": fast.ops_per_sec / controlled.ops_per_sec,
-                "work_identical": _work_identical(fast, controlled),
-            }
-        document["codec_comparison"] = codec_comparison
     return document

@@ -299,7 +299,7 @@ def _make_wire_decode(seed: int):
     return operation, ops
 
 
-def _make_wire_legacy_encode(seed: int):
+def _make_wire_py_encode(seed: int):
     """The pre-codec reference path (``core/wire.py``), kept benchmarked
     so the codec speedup is measured inside one run — the CI bench-smoke
     gate asserts ``micro.wire.encode`` ≥3× this."""
@@ -315,7 +315,7 @@ def _make_wire_legacy_encode(seed: int):
     return operation, ops
 
 
-def _make_wire_legacy_decode(seed: int):
+def _make_wire_py_decode(seed: int):
     encoded = [to_json(encode_sealed(item)) for item in _sealed(seed)]
     ops = 1_000
 
@@ -339,6 +339,6 @@ BENCHMARKS = [
     Benchmark("micro.obs.console_render", "micro", _make_console_render),
     Benchmark("micro.wire.encode", "micro", _make_wire_encode),
     Benchmark("micro.wire.decode", "micro", _make_wire_decode),
-    Benchmark("micro.wire.encode_legacy", "micro", _make_wire_legacy_encode),
-    Benchmark("micro.wire.decode_legacy", "micro", _make_wire_legacy_decode),
+    Benchmark("micro.wire.encode_legacy", "micro", _make_wire_py_encode),
+    Benchmark("micro.wire.decode_legacy", "micro", _make_wire_py_decode),
 ]

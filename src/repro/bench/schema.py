@@ -17,15 +17,17 @@ Version history:
   trajectory keeps validating under one checker.
 * v3 — adds the data-plane fields: top-level ``codec_enabled`` and
   ``wire_fidelity`` booleans, plus the optional ``codec_control`` /
-  ``codec_comparison`` sections emitted by ``--disable-codec``. The
-  codec control pass reverts the generated wire codecs, the canonical
-  digest expanders, and the fast-path scheduler — the pre-codec data
-  plane — while keeping caches on, so its speedups isolate this PR's
-  changes from the older cache machinery. Each ``codec_comparison``
-  entry carries ``work_identical``: whether the seeded deterministic
-  work counters (completed ops, events processed, virtual time,
-  messages sent) matched between the two passes, which is what makes
-  the wall-clock ratio a like-for-like comparison.
+  ``codec_comparison`` sections emitted by the codec control pass
+  (now retired; BENCH_0008 is its last record, and archived documents
+  carrying these sections still validate). That pass reverted the
+  generated wire codecs, the canonical digest expanders, and the
+  fast-path scheduler — the pre-codec data plane — while keeping
+  caches on, so its speedups isolated the codec from the older cache
+  machinery. Each ``codec_comparison`` entry carries
+  ``work_identical``: whether the seeded deterministic work counters
+  (completed ops, events processed, virtual time, messages sent)
+  matched between the two passes, which is what makes the wall-clock
+  ratio a like-for-like comparison.
 * v4 — adds the optional per-result ``latency`` object: the
   critical-path attribution report from :mod:`repro.obs.critpath`
   (per-segment p50/p90/p99 budgets over *virtual* time, the p99-tail
@@ -64,8 +66,9 @@ Top-level document::
 
 ``control`` and ``comparison`` appear only when the invocation also ran
 the cache-disabled control pass (``--disable-caches``);
-``codec_control`` and ``codec_comparison`` only with the codec-disabled
-control pass (``--disable-codec``). Each result::
+``codec_control`` and ``codec_comparison`` only in archived documents
+from the retired codec-disabled control pass; ``codec_enabled`` is
+optional and no longer emitted. Each result::
 
     {
       "name": "micro.digest.stable",

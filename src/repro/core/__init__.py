@@ -53,8 +53,7 @@ from repro.core.replay import (
 # Importing the codec compiles the per-class wire encoders/decoders and
 # installs the generated canonical-digest expanders into
 # ``repro.crypto.digest`` — every deployment built through this package
-# gets the fast data plane without opting in. ``repro.bench
-# --disable-codec`` reverts it via ``set_codec_enabled(False)``.
+# runs the one data plane without opting in.
 from repro.core import codec as _codec  # noqa: E402,F401  (activation import)
 
 __all__ = [

@@ -20,12 +20,12 @@ digest, mac]`` — with:
   :func:`repro.crypto.signatures.verify`);
 * **decode-time validation folded into the generated code** — arity,
   tag, and per-field type checks raise
-  :class:`~repro.errors.ProtocolError` exactly like the legacy path;
+  :class:`~repro.errors.ProtocolError` exactly like ``wire.py``'s;
 * **tuple fidelity** — arbitrary (``Any``-typed) payload values are
   encoded with container tags (``["t", ...]`` vs ``["l", ...]``), so
   tuples survive the wire and decoded records digest identically to the
-  originals. (The legacy JSON path documents tuple→list loss; the
-  generated codec removes it.)
+  originals. (``wire.py``'s hand-walked JSON documents tuple→list loss;
+  the generated codec removes it.)
 
 The same generation pass emits **canonical-digest expanders**: per-class
 fragments registered with :mod:`repro.crypto.digest` that replace the
@@ -33,10 +33,9 @@ generic per-field ``dataclasses.fields``/``getattr`` canonicalization
 walk with an unrolled, byte-identical field push. Digest values are
 unchanged — only the time to produce them.
 
-``set_codec_enabled(False)`` reverts the whole data plane to the legacy
-configuration — reflective dict-walking JSON (tuple-lossy, like
-``wire.py``) and the generic digest walk — which is what the benchmark
-harness's ``--disable-codec`` control pass measures.
+Importing this module installs the expanders and verdicts; it is the
+only wire data plane. ``wire.py`` stays as the hand-written walker the
+wire micro-benchmarks time the codec against.
 
 The :data:`MANIFEST` below is the codec coverage contract: BP013
 (``repro.analysis``) statically cross-checks it against every
@@ -51,7 +50,7 @@ import dataclasses
 import json
 import sys
 import typing
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 from repro.core import messages as _core_messages
 from repro.core import records as _records
@@ -275,6 +274,15 @@ def _spec_of(annotation: Any, field_name: str) -> Any:
     raise RuntimeError(
         f"codec: no spec for annotation {annotation!r} (field {field_name!r})"
     )
+
+
+def _field_specs(cls: type) -> List[Any]:
+    """The spec tree of each field of a MANIFEST class, in field order."""
+    hints = typing.get_type_hints(cls)
+    return [
+        _SPEC_OVERRIDES.get((cls, name), None) or _spec_of(hints[name], name)
+        for name in MANIFEST[cls][1]
+    ]
 
 
 _SCALARS = {"str", "int", "float", "bool"}
@@ -540,12 +548,7 @@ def _generate() -> None:
                 f"codec manifest drift for {cls.__name__}: manifest lists "
                 f"{expected_fields!r} but the dataclass has {actual!r}"
             )
-        hints = typing.get_type_hints(cls)
-        specs = [
-            _SPEC_OVERRIDES.get((cls, name), None)
-            or _spec_of(hints[name], name)
-            for name in expected_fields
-        ]
+        specs = _field_specs(cls)
         name = cls.__name__
         ns[name] = cls
         gen = _Gen(name)
@@ -697,153 +700,11 @@ def _generate() -> None:
         _EXPANDERS[cls] = ns[f"_x_{name}"]
         if cls not in _IMMUTABILITY:
             _IMMUTABILITY[cls] = ns[f"_m_{name}"]
-    # Field specs kept for the reflective legacy path.
-    global _SPECS
-    _SPECS = {
-        cls: (
-            MANIFEST[cls][1],
-            [
-                _SPEC_OVERRIDES.get((cls, fname), None)
-                or _spec_of(typing.get_type_hints(cls)[fname], fname)
-                for fname in MANIFEST[cls][1]
-            ],
-        )
-        for cls in MANIFEST
-    }
-
-
-_SPECS: Dict[type, Tuple[Tuple[str, ...], list]] = {}
-_BY_NAME: Dict[str, type] = {}
-
-
-# ----------------------------------------------------------------------
-# Legacy (control) path: reflective dict-walking JSON, wire.py style
-# ----------------------------------------------------------------------
-
-_LEGACY_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
-
-
-def _legacy_value(spec: Any, v: Any) -> Any:
-    """Interpretive per-field encode — deliberately the legacy idiom:
-    dict construction, key strings, tuple→list loss on ``Any`` values
-    (parity with ``wire.py``'s documented behavior)."""
-    kind = spec[0]
-    if kind in _SCALARS or v is None:
-        return v
-    if kind == "opt":
-        return _legacy_value(spec[1], v)
-    if kind == "cls":
-        return _legacy_body(v)
-    if kind in ("vtuple", "list", "ftuple"):
-        if kind == "ftuple":
-            return [_legacy_value(s, item) for s, item in zip(spec[1], v)]
-        return [_legacy_value(spec[1], item) for item in v]
-    if kind == "dicts":
-        return {key: _legacy_value(spec[1], item) for key, item in v.items()}
-    if kind == "dicti":
-        return [[key, _legacy_value(spec[1], item)] for key, item in v.items()]
-    if kind == "any":
-        return _legacy_any(v)
-    raise ProtocolError(f"cannot legacy-encode spec {spec!r}")
-
-
-def _legacy_any(v: Any) -> Any:
-    cls = v.__class__
-    if cls is str or cls is int or cls is float or cls is bool or v is None:
-        return v
-    if cls is tuple or cls is list:
-        return [_legacy_any(item) for item in v]
-    if cls is dict:
-        return {key: _legacy_any(item) for key, item in v.items()}
-    if cls in MANIFEST:
-        return {"__wire__": cls.__name__, "body": _legacy_body(v)}
-    raise ProtocolError(f"cannot legacy-encode value of type {cls.__name__}")
-
-
-def _legacy_body(obj: Any) -> Dict[str, Any]:
-    fields, specs = _SPECS[obj.__class__]
-    return {
-        fname: _legacy_value(spec, getattr(obj, fname))
-        for fname, spec in zip(fields, specs)
-    }
-
-
-def _legacy_unvalue(spec: Any, v: Any) -> Any:
-    kind = spec[0]
-    if kind in _SCALARS:
-        return v
-    if kind == "opt":
-        return None if v is None else _legacy_unvalue(spec[1], v)
-    if kind == "cls":
-        return _legacy_unbody(spec[1], v)
-    if kind in ("vtuple", "ftuple"):
-        if kind == "ftuple":
-            items = [_legacy_unvalue(s, item) for s, item in zip(spec[1], v)]
-        else:
-            items = [_legacy_unvalue(spec[1], item) for item in v]
-        return tuple(items)
-    if kind == "list":
-        return [_legacy_unvalue(spec[1], item) for item in v]
-    if kind == "dicts":
-        return {key: _legacy_unvalue(spec[1], item) for key, item in v.items()}
-    if kind == "dicti":
-        return {key: _legacy_unvalue(spec[1], item) for key, item in v}
-    if kind == "any":
-        return _legacy_unany(v)
-    raise ProtocolError(f"cannot legacy-decode spec {spec!r}")
-
-
-def _legacy_unany(v: Any) -> Any:
-    cls = v.__class__
-    if cls is list:
-        return [_legacy_unany(item) for item in v]
-    if cls is dict:
-        kind_name = v.get("__wire__")
-        if kind_name is not None:
-            return _legacy_unbody(_BY_NAME[kind_name], v["body"])
-        return {key: _legacy_unany(item) for key, item in v.items()}
-    return v
-
-
-def _legacy_unbody(cls: type, body: Dict[str, Any]) -> Any:
-    fields, specs = _SPECS[cls]
-    try:
-        return cls(
-            **{
-                fname: _legacy_unvalue(spec, body[fname])
-                for fname, spec in zip(fields, specs)
-            }
-        )
-    except ProtocolError:
-        raise
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise ProtocolError(f"malformed {cls.__name__}: {exc!r}") from None
-
-
-def _legacy_encode(obj: Any) -> str:
-    cls = obj.__class__
-    if cls not in _SPECS:
-        raise ProtocolError(f"no wire codec for {cls.__name__}")
-    return _LEGACY_ENCODER.encode(
-        {"kind": cls.__name__, "body": _legacy_body(obj)}
-    )
-
-
-def _legacy_decode(text: str) -> Any:
-    try:
-        envelope = json.loads(text)
-        cls = _BY_NAME[envelope["kind"]]
-        body = envelope["body"]
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ProtocolError(f"malformed wire envelope: {exc!r}") from None
-    return _legacy_unbody(cls, body)
 
 
 # ----------------------------------------------------------------------
 # Public API
 # ----------------------------------------------------------------------
-
-_ENABLED = True
 
 # The stdlib's ``json.dumps``/``JSONEncoder.encode`` rebuild the
 # C-accelerated one-shot encoder on *every* call (``c_make_encoder`` in
@@ -885,8 +746,7 @@ _SCAN_ONCE = json.JSONDecoder().scan_once
 #: the same ``str`` object, so fan-in decodes hit by cached string
 #: hash); only deeply-immutable results are stored, so sharing one
 #: decoded object among recipients is safe. Both memos honor the
-#: ``--disable-caches`` control switch and are dropped when the codec
-#: is toggled (the two data planes produce different wire text).
+#: ``--disable-caches`` control switch.
 _ENCODE_MEMO = IdentityLRU(maxsize=4096)
 _DECODE_MEMO = KeyedLRU(maxsize=4096)
 
@@ -915,27 +775,6 @@ def wire_memo_stats() -> dict:
     }
 
 
-def codec_enabled() -> bool:
-    """Whether the generated codecs (vs the legacy JSON path) are active."""
-    return _ENABLED
-
-
-def set_codec_enabled(enabled: bool) -> bool:
-    """Toggle the generated data plane; returns the previous setting.
-
-    Disabling also uninstalls the canonical-digest expanders, so the
-    ``--disable-codec`` control pass measures the generic per-field
-    canonicalization walk. Digest *values* are identical either way.
-    """
-    global _ENABLED
-    previous = _ENABLED
-    _ENABLED = bool(enabled)
-    _digest.set_canonical_expanders(_EXPANDERS if _ENABLED else None)
-    _digest.set_immutability_verdicts(_IMMUTABILITY if _ENABLED else None)
-    clear_wire_memos()
-    return previous
-
-
 def wire_classes() -> Tuple[type, ...]:
     """Every class covered by the generated codecs (manifest order)."""
     return tuple(MANIFEST)
@@ -948,30 +787,28 @@ def encode_wire(obj: Any) -> str:
         ProtocolError: If ``obj``'s class has no codec or a payload
             value is not wire-encodable.
     """
-    if _ENABLED:
-        memo = caches_enabled()
-        if memo:
-            hit = _ENCODE_MEMO.lookup(obj)
-            if hit is not None:
-                if hit is not _UNCACHEABLE:
-                    return hit
-                memo = False  # known-mutable: skip the re-walk and store
-        encoder = _ENCODERS.get(obj.__class__)
-        if encoder is None:
-            raise ProtocolError(f"no wire codec for {type(obj).__name__}")
-        try:
-            text = _FAST_DUMPS(encoder(obj))
-        except ProtocolError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise ProtocolError(f"unencodable wire value: {exc!r}") from None
-        if memo:
-            _ENCODE_MEMO.store(
-                obj,
-                text if _digest._deeply_immutable(obj) else _UNCACHEABLE,
-            )
-        return text
-    return _legacy_encode(obj)
+    memo = caches_enabled()
+    if memo:
+        hit = _ENCODE_MEMO.lookup(obj)
+        if hit is not None:
+            if hit is not _UNCACHEABLE:
+                return hit
+            memo = False  # known-mutable: skip the re-walk and store
+    encoder = _ENCODERS.get(obj.__class__)
+    if encoder is None:
+        raise ProtocolError(f"no wire codec for {type(obj).__name__}")
+    try:
+        text = _FAST_DUMPS(encoder(obj))
+    except ProtocolError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ProtocolError(f"unencodable wire value: {exc!r}") from None
+    if memo:
+        _ENCODE_MEMO.store(
+            obj,
+            text if _digest._deeply_immutable(obj) else _UNCACHEABLE,
+        )
+    return text
 
 
 def decode_wire(text: str) -> Any:
@@ -981,36 +818,34 @@ def decode_wire(text: str) -> Any:
         ProtocolError: On malformed input (bad JSON, unknown tag, wrong
             arity, or a field failing its generated type check).
     """
-    if _ENABLED:
-        memo = caches_enabled()
-        if memo:
-            hit = _DECODE_MEMO.lookup(text)
-            if hit is not None:
-                if hit is not _UNCACHEABLE:
-                    return hit
-                memo = False  # known-mutable result: decode fresh
-        try:
-            array, end = _SCAN_ONCE(text, 0)
-        except (ValueError, StopIteration) as exc:
-            raise ProtocolError(f"malformed wire JSON: {exc!r:.80}") from None
-        if end != len(text):
-            raise ProtocolError("malformed wire JSON: trailing data")
-        if type(array) is not list or not array:
-            raise ProtocolError("malformed wire envelope: expected tagged array")
-        tag = array[0]
-        decoder = _TAG_DECODERS.get(tag) if type(tag) is str else None
-        if decoder is None:
-            raise ProtocolError(
-                f"malformed wire envelope: unknown tag {array[0]!r:.40}"
-            )
-        obj = decoder(array)
-        if memo:
-            _DECODE_MEMO.store(
-                text,
-                obj if _digest._deeply_immutable(obj) else _UNCACHEABLE,
-            )
-        return obj
-    return _legacy_decode(text)
+    memo = caches_enabled()
+    if memo:
+        hit = _DECODE_MEMO.lookup(text)
+        if hit is not None:
+            if hit is not _UNCACHEABLE:
+                return hit
+            memo = False  # known-mutable result: decode fresh
+    try:
+        array, end = _SCAN_ONCE(text, 0)
+    except (ValueError, StopIteration) as exc:
+        raise ProtocolError(f"malformed wire JSON: {exc!r:.80}") from None
+    if end != len(text):
+        raise ProtocolError("malformed wire JSON: trailing data")
+    if type(array) is not list or not array:
+        raise ProtocolError("malformed wire envelope: expected tagged array")
+    tag = array[0]
+    decoder = _TAG_DECODERS.get(tag) if type(tag) is str else None
+    if decoder is None:
+        raise ProtocolError(
+            f"malformed wire envelope: unknown tag {array[0]!r:.40}"
+        )
+    obj = decoder(array)
+    if memo:
+        _DECODE_MEMO.store(
+            text,
+            obj if _digest._deeply_immutable(obj) else _UNCACHEABLE,
+        )
+    return obj
 
 
 def encode_wire_bytes(obj: Any) -> bytes:
@@ -1030,46 +865,12 @@ def transcode(obj: Any) -> Tuple[Any, int]:
     work a ``wire_fidelity`` simulation performs per cross-site message
     (the byte count is reported, not charged — the bandwidth model keeps
     charging the modelled ``size_bytes`` so virtual time and event
-    counts stay identical across codec settings).
-
-    Transcoding always rides the **generated** format, even under
-    ``--disable-codec``: the legacy dict-walk JSON is tuple-lossy
-    (``core/wire.py`` documents the tuple→list conversion changing
-    digests), so routing live cross-site records through it would
-    corrupt signed digests and change protocol behavior — violating the
-    control pass's identical-work requirement. The control pass instead
-    runs the generated codec *cold*: no wire memos, no digest
-    expanders, the legacy scheduler.
+    counts stay identical with fidelity on or off).
     """
-    if _ENABLED:
-        text = encode_wire(obj)
-        return decode_wire(text), len(text.encode("utf-8"))
-    encoder = _ENCODERS.get(obj.__class__)
-    if encoder is None:
-        raise ProtocolError(f"no wire codec for {type(obj).__name__}")
-    try:
-        text = _FAST_DUMPS(encoder(obj))
-    except ProtocolError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ProtocolError(f"unencodable wire value: {exc!r}") from None
-    try:
-        array, end = _SCAN_ONCE(text, 0)
-    except (ValueError, StopIteration) as exc:
-        raise ProtocolError(f"malformed wire JSON: {exc!r:.80}") from None
-    if end != len(text):
-        raise ProtocolError("malformed wire JSON: trailing data")
-    if type(array) is not list or not array:
-        raise ProtocolError("malformed wire envelope: expected tagged array")
-    tag = array[0]
-    decoder = _TAG_DECODERS.get(tag) if type(tag) is str else None
-    if decoder is None:
-        raise ProtocolError(
-            f"malformed wire envelope: unknown tag {array[0]!r:.40}"
-        )
-    return decoder(array), len(text.encode("utf-8"))
+    text = encode_wire(obj)
+    return decode_wire(text), len(text.encode("utf-8"))
 
 
 _generate()
-_BY_NAME = {cls.__name__: cls for cls in MANIFEST}
-set_codec_enabled(True)
+_digest.set_canonical_expanders(_EXPANDERS)
+_digest.set_immutability_verdicts(_IMMUTABILITY)

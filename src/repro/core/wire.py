@@ -88,7 +88,7 @@ def decode_transmission_record(data: Dict[str, Any]) -> TransmissionRecord:
         return TransmissionRecord(
             source=data["source"],
             destination=data["destination"],
-            message=_detuple(data["message"]),
+            message=data["message"],
             source_position=data["source_position"],
             prev_position=data["prev_position"],
             payload_bytes=data.get("payload_bytes", 0),
@@ -139,19 +139,25 @@ def encode_log_entry(entry: LogEntry) -> Dict[str, Any]:
 
 
 def decode_log_entry(data: Dict[str, Any]) -> LogEntry:
-    """Dict → LogEntry."""
-    value = data["value"]
-    if isinstance(value, dict) and "__sealed__" in value:
-        value = decode_sealed(value["__sealed__"])
-    else:
-        value = _detuple(value)
-    return LogEntry(
-        position=data["position"],
-        record_type=data["record_type"],
-        value=value,
-        meta=data["meta"],
-        payload_bytes=data.get("payload_bytes", 0),
-    )
+    """Dict → LogEntry.
+
+    JSON turns tuples into lists and canonical digests distinguish the
+    two, so decoded payloads keep lists as lists; callers whose protocol
+    uses tuples in payloads must normalize on receipt.
+    """
+    try:
+        value = data["value"]
+        if isinstance(value, dict) and "__sealed__" in value:
+            value = decode_sealed(value["__sealed__"])
+        return LogEntry(
+            position=data["position"],
+            record_type=data["record_type"],
+            value=value,
+            meta=data["meta"],
+            payload_bytes=data.get("payload_bytes", 0),
+        )
+    except (KeyError, TypeError) as exc:
+        raise ProtocolError(f"malformed log entry: {exc}") from exc
 
 
 def encode_mirror_entry(entry: MirrorEntry) -> Dict[str, Any]:
@@ -167,13 +173,16 @@ def encode_mirror_entry(entry: MirrorEntry) -> Dict[str, Any]:
 
 def decode_mirror_entry(data: Dict[str, Any]) -> MirrorEntry:
     """Dict → MirrorEntry."""
-    return MirrorEntry(
-        source=data["source"],
-        position=data["position"],
-        record_type=data["record_type"],
-        value=_detuple(data["value"]),
-        meta=data["meta"],
-    )
+    try:
+        return MirrorEntry(
+            source=data["source"],
+            position=data["position"],
+            record_type=data["record_type"],
+            value=data["value"],
+            meta=data["meta"],
+        )
+    except (KeyError, TypeError) as exc:
+        raise ProtocolError(f"malformed mirror entry: {exc}") from exc
 
 
 #: One pre-configured encoder instance: ``json.dumps`` with keyword
@@ -190,12 +199,7 @@ def to_json(data: Dict[str, Any]) -> str:
 
 def from_json(text: str) -> Dict[str, Any]:
     """Parse a JSON string back to a dict."""
-    return json.loads(text)
-
-
-def _detuple(value: Any) -> Any:
-    """JSON turns tuples into lists; canonical digests distinguish the
-    two, so decoded *payloads* keep lists as lists. Callers whose
-    protocol uses tuples in payloads (e.g. ballots) must normalize on
-    receipt — exactly as with any real RPC layer."""
-    return value
+    try:
+        return json.loads(text)
+    except ValueError as exc:
+        raise ProtocolError(f"malformed wire JSON: {exc}") from exc

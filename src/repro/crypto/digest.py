@@ -46,7 +46,8 @@ _CLOSE_DATACLASS = _Emit(b">")
 #: stack with the field-name encodings precomputed. Byte-identical to
 #: the generic dataclass branch in :func:`_canonical_slow` — only the
 #: per-field ``dataclasses.fields``/encode overhead is removed. Empty
-#: when the codec is disabled (the ``--disable-codec`` control pass).
+#: until the codec is imported; tests remove them to compare against
+#: the generic walk.
 _CANONICAL_EXPANDERS: dict = {}
 
 
@@ -248,8 +249,8 @@ _LEAF_CLASSES = frozenset(_IMMUTABLE_LEAVES)
 #: isinstance-checks the scalar fields and pushes only the fields the
 #: spec cannot decide statically. A verdict may only be *stricter* than
 #: the reflective walk — refusing to memoize is always safe, memoizing a
-#: mutable value never is. Empty when the codec is disabled (the
-#: ``--disable-codec`` control pass).
+#: mutable value never is. Empty until the codec is imported; tests
+#: remove them to compare against the reflective walk.
 _IMMUTABILITY_VERDICTS: dict = {}
 
 

@@ -5,10 +5,9 @@ are ordered by ``(time, seq)`` where ``seq`` is a monotonically increasing
 insertion counter — two events at the same instant always fire in the
 order they were scheduled, which keeps every simulation deterministic.
 
-The simulator's fast path (see :mod:`repro.sim.simulator`) stores heap
-entries as plain ``(time, seq, event)`` tuples so ordering is resolved by
-C-level tuple comparison; :meth:`Event.__lt__` remains for the legacy
-scheduler mode and for any external code that sorts events directly.
+The simulator (see :mod:`repro.sim.simulator`) stores heap entries as
+plain ``(time, seq, event)`` tuples, so ordering is resolved by C-level
+tuple comparison and events themselves need no ordering methods.
 """
 
 from __future__ import annotations
@@ -62,10 +61,3 @@ class Event:
         owner = self.owner
         if owner is not None:
             owner._note_cancelled(self)
-
-    def sort_key(self) -> Tuple[float, int]:
-        """Return the deterministic ordering key ``(time, seq)``."""
-        return (self.time, self.seq)
-
-    def __lt__(self, other: "Event") -> bool:
-        return self.sort_key() < other.sort_key()

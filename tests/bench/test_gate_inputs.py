@@ -1,9 +1,12 @@
-"""Every file a build gate compares against must be under version control.
+"""Every file a build gate compares against must be under version
+control, and no build step may write over one that is.
 
 A baseline that only exists in one developer's working tree makes the
 gate fail on every clean checkout (or, worse, pass against a stale
 local copy). The Makefile and the CI workflow name their gate inputs as
 the argument of a ``--gate-*`` flag; every such path must be tracked.
+Their outputs are the argument of ``--out``; none may be tracked, or
+running the target silently rewrites an archived record.
 """
 
 import re
@@ -16,18 +19,27 @@ import pytest
 REPO_ROOT = Path(__file__).resolve().parents[2]
 GATE_FILES = ("Makefile", ".github/workflows/ci.yml")
 _GATE_ARG = re.compile(r"--gate-[a-z-]+\s+([^\s\\]+)")
+_OUT_ARG = re.compile(r"(?<![\w-])--out[\s=]+([^\s\\]+)")
+
+
+def _arguments(pattern):
+    return {
+        value
+        for name in GATE_FILES
+        for value in pattern.findall(
+            (REPO_ROOT / name).read_text(encoding="utf-8")
+        )
+    }
 
 
 def _gate_inputs():
     """Path arguments of ``--gate-*`` flags (numeric floors skipped)."""
     inputs = set()
-    for name in GATE_FILES:
-        text = (REPO_ROOT / name).read_text(encoding="utf-8")
-        for value in _GATE_ARG.findall(text):
-            try:
-                float(value)
-            except ValueError:
-                inputs.add(value)
+    for value in _arguments(_GATE_ARG):
+        try:
+            float(value)
+        except ValueError:
+            inputs.add(value)
     return inputs
 
 
@@ -52,3 +64,13 @@ def test_every_gate_input_is_tracked():
     tracked = _tracked_files()
     untracked = sorted(path for path in _gate_inputs() if path not in tracked)
     assert untracked == [], f"gate inputs missing from git: {untracked}"
+
+
+def test_outputs_are_found():
+    assert "bench-smoke.json" in _arguments(_OUT_ARG)
+
+
+def test_no_output_overwrites_a_tracked_file():
+    tracked = _tracked_files()
+    clobbered = sorted(path for path in _arguments(_OUT_ARG) if path in tracked)
+    assert clobbered == [], f"build outputs that are tracked files: {clobbered}"

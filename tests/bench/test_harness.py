@@ -129,19 +129,6 @@ class TestCLI:
         assert document["control"]["caches_enabled"] is False
         assert "micro.digest.cached" in document["comparison"]
 
-    def test_disable_codec_emits_codec_control(self, tmp_path):
-        out = tmp_path / "bench.json"
-        code = cli.main([
-            "--only", "micro", "--filter", "wire.encode",
-            "--repeats", "1", "--warmup", "0",
-            "--disable-codec", "--out", str(out),
-        ])
-        assert code == 0
-        document = json.loads(out.read_text())
-        assert validate(document) == []
-        assert document["codec_control"]["codec_enabled"] is False
-        assert "micro.wire.encode" in document["codec_comparison"]
-
     def test_wire_codec_gate_passes_on_real_micros(self, tmp_path):
         # A deliberately weak floor: the gate's pass/fail plumbing is
         # under test here, not the performance claim (bench-smoke runs

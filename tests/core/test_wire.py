@@ -135,6 +135,12 @@ def test_malformed_inputs_raise_protocol_errors():
         decode_proof({"digest": "x"})
     with pytest.raises(ProtocolError):
         decode_sealed({"record": {}})
+    with pytest.raises(ProtocolError):
+        decode_log_entry({})
+    with pytest.raises(ProtocolError):
+        decode_mirror_entry({})
+    with pytest.raises(ProtocolError):
+        from_json("{")
 
 
 @given(payload=json_payloads)

@@ -1,39 +1,50 @@
 """Property-based tests for the generated wire codec (hypothesis).
 
 Instance strategies are derived from the codec's own field-spec trees
-(:data:`repro.core.codec._SPECS`), so every class in the MANIFEST is
-exercised with arbitrary well-typed payloads — the properties cannot
+(:func:`repro.core.codec._field_specs`), so every class in the MANIFEST
+is exercised with arbitrary well-typed payloads — the properties cannot
 drift out of sync with the manifest when a wire class gains a field.
 
 Three invariants:
 
 * ``decode_wire(encode_wire(x)) == x`` for every wire class (the
   tuple/list distinction in ``Any`` payloads included);
-* the generated canonical-digest expanders are byte-identical to the
-  generic dataclass canonicalization (same ``stable_digest`` with the
-  codec enabled or disabled);
-* on payloads the legacy dict-walking JSON path can represent (no
-  tuples or bytes inside ``Any`` fields), the codec round-trip and the
-  legacy round-trip produce equal objects with equal digests — and on
-  tuple-carrying payloads the codec is lossless where the legacy path
-  documentedly is not.
+* the generated canonical-digest expanders and immutability verdicts
+  agree with the reference walks in :mod:`repro.crypto.digest` (same
+  ``stable_digest`` and same ``_deeply_immutable`` verdict with them
+  installed or removed);
+* on payloads the hand-written JSON walker in :mod:`repro.core.wire`
+  can represent (no tuples or bytes inside ``Any`` fields), the codec
+  round-trip and the ``wire.py`` round-trip produce equal objects with
+  equal digests — and on tuple-carrying payloads the codec is lossless
+  where ``wire.py`` documentedly is not.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import codec
+from repro.core import codec, wire
 from repro.core.codec import (
     MANIFEST,
     decode_wire,
     decode_wire_bytes,
     encode_wire,
     encode_wire_bytes,
-    set_codec_enabled,
 )
-from repro.crypto.digest import stable_digest
-from repro.crypto.signatures import Signature
+from repro.core.records import (
+    LogEntry,
+    MirrorEntry,
+    SealedTransmission,
+    TransmissionRecord,
+)
+from repro.crypto.digest import (
+    _deeply_immutable,
+    set_canonical_expanders,
+    set_immutability_verdicts,
+    stable_digest,
+)
+from repro.crypto.signatures import QuorumProof, Signature
 
 _KEY_TEXT = st.text(alphabet="abcdef", max_size=4)
 
@@ -47,9 +58,9 @@ _ANY_SCALARS = st.one_of(
 
 
 def _any_values(tuples: bool, binary: bool) -> st.SearchStrategy:
-    """Trees the ``Any``-value walkers accept. The legacy comparison
-    property excludes tuples (tuple→list loss is the legacy path's
-    documented behavior) and bytes (the legacy walker rejects them)."""
+    """Trees the ``Any``-value walkers accept. The ``wire.py``
+    comparison property excludes tuples (tuple→list loss is that
+    walker's documented behavior) and bytes (JSON cannot carry them)."""
     base = _ANY_SCALARS
     if binary:
         base = base | st.binary(max_size=8)
@@ -83,12 +94,11 @@ class _StrategyBuilder:
         return strategy
 
     def _build(self, cls: type) -> st.SearchStrategy:
-        fields, specs = codec._SPECS[cls]
         return st.builds(
             cls,
             **{
                 fname: self.for_spec(spec)
-                for fname, spec in zip(fields, specs)
+                for fname, spec in zip(MANIFEST[cls][1], codec._field_specs(cls))
             },
         )
 
@@ -126,9 +136,27 @@ class _StrategyBuilder:
 
 
 _FULL = _StrategyBuilder(_any_values(tuples=True, binary=True))
-_LEGACY_SAFE = _StrategyBuilder(_any_values(tuples=False, binary=False))
+_JSON_SAFE = _StrategyBuilder(_any_values(tuples=False, binary=False))
 
 _ALL_CLASSES = sorted(MANIFEST, key=lambda cls: cls.__name__)
+
+#: The record classes ``wire.py`` hand-walks: class → (encode, decode).
+_WIRE_WALKERS = {
+    Signature: (wire.encode_signature, wire.decode_signature),
+    QuorumProof: (wire.encode_proof, wire.decode_proof),
+    TransmissionRecord: (
+        wire.encode_transmission_record, wire.decode_transmission_record,
+    ),
+    SealedTransmission: (wire.encode_sealed, wire.decode_sealed),
+    LogEntry: (wire.encode_log_entry, wire.decode_log_entry),
+    MirrorEntry: (wire.encode_mirror_entry, wire.decode_mirror_entry),
+}
+_WIRE_CLASSES = sorted(_WIRE_WALKERS, key=lambda cls: cls.__name__)
+
+
+def _via_wire_py(obj):
+    encode, decode = _WIRE_WALKERS[obj.__class__]
+    return decode(wire.from_json(wire.to_json(encode(obj))))
 
 
 @pytest.mark.parametrize(
@@ -154,16 +182,15 @@ def test_round_trip_through_bytes(data):
 @given(data=st.data())
 def test_generated_digest_expanders_match_generic_walk(data):
     """stable_digest is byte-identical with the codec's generated
-    canonical expanders installed (codec on) and without (codec off)."""
+    canonical expanders installed and with the generic walk."""
     cls = data.draw(st.sampled_from(_ALL_CLASSES))
     obj = data.draw(_FULL.for_class(cls))
-    previous = set_codec_enabled(True)
+    with_expanders = stable_digest(obj)
+    set_canonical_expanders(None)
     try:
-        with_expanders = stable_digest(obj)
-        set_codec_enabled(False)
         without_expanders = stable_digest(obj)
     finally:
-        set_codec_enabled(previous)
+        set_canonical_expanders(codec._EXPANDERS)
     assert with_expanders == without_expanders
 
 
@@ -173,54 +200,53 @@ def test_generated_immutability_verdicts_match_reflective_walk(data):
     """The codec's generated immutability verdicts agree with the
     reflective ``_deeply_immutable`` walk on every well-typed instance —
     the digest memo must make identical cache/no-cache decisions with
-    the codec enabled or disabled."""
-    from repro.crypto.digest import _deeply_immutable
-
+    the verdicts installed or removed."""
     cls = data.draw(st.sampled_from(_ALL_CLASSES))
     obj = data.draw(_FULL.for_class(cls))
-    previous = set_codec_enabled(True)
+    with_verdicts = _deeply_immutable(obj)
+    set_immutability_verdicts(None)
     try:
-        with_verdicts = _deeply_immutable(obj)
-        set_codec_enabled(False)
         without_verdicts = _deeply_immutable(obj)
     finally:
-        set_codec_enabled(previous)
+        set_immutability_verdicts(codec._IMMUTABILITY)
     assert with_verdicts == without_verdicts
 
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
-def test_codec_agrees_with_legacy_on_legacy_safe_payloads(data):
-    """Where the legacy dict-walking JSON can represent the value at
+def test_codec_agrees_with_wire_py_on_json_safe_payloads(data):
+    """Where ``wire.py``'s hand-walked JSON can represent the value at
     all, both paths decode to equal objects with equal digests."""
-    cls = data.draw(st.sampled_from(_ALL_CLASSES))
-    obj = data.draw(_LEGACY_SAFE.for_class(cls))
+    cls = data.draw(st.sampled_from(_WIRE_CLASSES))
+    obj = data.draw(_JSON_SAFE.for_class(cls))
     via_codec = decode_wire(encode_wire(obj))
-    via_legacy = codec._legacy_decode(codec._legacy_encode(obj))
-    assert via_codec == via_legacy == obj
-    assert stable_digest(via_codec) == stable_digest(via_legacy)
+    via_wire_py = _via_wire_py(obj)
+    assert via_codec == via_wire_py == obj
+    assert stable_digest(via_codec) == stable_digest(via_wire_py)
 
 
-def test_codec_preserves_any_tuples_where_legacy_does_not():
+def test_codec_preserves_any_tuples_where_wire_py_does_not():
     """The decisive divergence: a tuple inside an ``Any`` payload
-    survives the generated codec but degrades to a list on the legacy
-    path — which changes the record digest. This is why benchmark
-    control passes transcode with the generated codec rather than the
-    legacy walker."""
+    survives the generated codec but degrades to a list through
+    ``wire.py`` — which changes the record digest. This is why wire
+    fidelity transcodes with the generated codec."""
+    payload = ("k", ("nested", 2))
+    record = TransmissionRecord("A", "B", payload, 1, None)
     signature = Signature(signer="a", digest="d", mac="m")
-    entry = codec._records.LogEntry(
-        position=1,
-        record_type="communication",
-        value=("k", ("nested", 2)),
-        meta=None,
-        payload_bytes=0,
-    )
-    assert decode_wire(encode_wire(entry)) == entry
-    degraded = codec._legacy_decode(codec._legacy_encode(entry))
-    assert degraded.value == ["k", ["nested", 2]]
-    assert stable_digest(degraded) != stable_digest(entry)
+    proof = QuorumProof(digest=record.digest(), signatures=(signature,))
+    lossy = [
+        LogEntry(1, "communication", payload, None),
+        MirrorEntry("A", 1, "communication", payload, None),
+        record,
+        SealedTransmission(record=record, proof=proof),
+    ]
+    for obj in lossy:
+        assert decode_wire(encode_wire(obj)) == obj
+        degraded = _via_wire_py(obj)
+        assert degraded != obj
+        assert stable_digest(degraded) != stable_digest(obj)
+    assert _via_wire_py(lossy[0]).value == ["k", ["nested", 2]]
     # Typed tuple fields (not Any) are spec-driven and survive both.
-    assert decode_wire(encode_wire(signature)) == signature
-    assert (
-        codec._legacy_decode(codec._legacy_encode(signature)) == signature
-    )
+    for obj in (signature, proof):
+        assert decode_wire(encode_wire(obj)) == obj
+        assert _via_wire_py(obj) == obj

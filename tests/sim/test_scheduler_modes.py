@@ -68,8 +68,10 @@ def _assert_specification(fired: list, scheduled: list) -> None:
 
 
 class TestSchedulerModeEquivalence:
+    """The ordering contract shared by the heap and the ready queue."""
+
     @pytest.mark.parametrize("seed", [1, 7, 23])
-    def test_fire_order_follows_time_seq_specification(self, seed):
+    def test_fire_order_follows_spec(self, seed):
         sim = Simulator(seed=seed)
         fired: list = []
         scheduled = _random_workload(sim, fired, seed)
