@@ -161,6 +161,8 @@ class BlockplaneNode(PBFTReplica):
         self._truncate_inflight = False
         #: Committed truncate markers this replica applied.
         self.truncations_applied = 0
+        #: Committed reception entries skipped as duplicates at apply.
+        self.duplicate_receptions = 0
         self.on_executed.append(self._apply_entry)
 
     # ------------------------------------------------------------------
@@ -382,10 +384,7 @@ class BlockplaneNode(PBFTReplica):
             if self.local_log.has_received(*key):
                 # Duplicate commit of the same transmission: every
                 # honest replica skips it identically.
-                self.sim.trace.record(
-                    "bp.duplicate_reception", self.sim.now,
-                    node=self.node_id, key=key,
-                )
+                self.duplicate_receptions += 1
                 return
         trace = (
             self._slot_traces.pop(committed.seq, None)
@@ -434,10 +433,6 @@ class BlockplaneNode(PBFTReplica):
             self.obs.counter(
                 "bp_log_entries_folded_total", participant=self.participant
             ).inc(float(dropped))
-        self.sim.trace.record(
-            "bp.truncate", self.sim.now, node=self.node_id,
-            base=self.local_log.base_position, dropped=dropped,
-        )
 
     def _record_apply_obs(
         self, committed: CommittedEntry, entry: LogEntry, trace
@@ -733,11 +728,6 @@ class BlockplaneNode(PBFTReplica):
                         position=record.source_position,
                         src=src, reason="ingress-proof",
                     )
-            self.sim.trace.record(
-                "bp.ingress_reject", self.sim.now,
-                node=self.node_id, src=record.source,
-                position=record.source_position,
-            )
             return
         if self.obs.forensics:
             self.obs.event(

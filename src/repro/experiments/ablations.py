@@ -141,7 +141,10 @@ def run_transmission_fanout(
             "delivery_ms": series.mean,
             "committed_receptions": float(received),
             "duplicates_suppressed": float(
-                sim.trace.count("bp.duplicate_reception")
+                sum(
+                    node.duplicate_receptions
+                    for node in deployment.all_nodes()
+                )
             ),
         }
     return results

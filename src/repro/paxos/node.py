@@ -143,9 +143,6 @@ class MultiPaxosNode(Node):
             if slot not in self.chosen:
                 self._propose(slot, adopt[slot][1], Future(self.sim, "readopt"))
             self.next_slot = max(self.next_slot, slot + 1)
-        self.sim.trace.record(
-            "paxos.leader", self.sim.now, node=self.node_id, ballot=self.ballot
-        )
         election.future.resolve(self.ballot)
 
     # ------------------------------------------------------------------
@@ -209,9 +206,6 @@ class MultiPaxosNode(Node):
         replication.done = True
         self.chosen[msg.slot] = replication.value
         self.broadcast(self.peers, Learn(slot=msg.slot, value=replication.value))
-        self.sim.trace.record(
-            "paxos.chosen", self.sim.now, node=self.node_id, slot=msg.slot
-        )
         if not replication.future.resolved:
             replication.future.resolve(msg.slot)
 

@@ -23,8 +23,6 @@ from repro.sim.topology import (
 )
 from repro.sim.node import Message, Node
 from repro.sim.faults import FaultInjector
-from repro.sim.trace import Tracer
-from repro.sim.timeline import kind_summary, render_summary, render_timeline
 from repro.sim.metrics import LatencySeries, summarize
 
 __all__ = [
@@ -46,10 +44,6 @@ __all__ = [
     "Message",
     "Node",
     "FaultInjector",
-    "Tracer",
-    "render_timeline",
-    "render_summary",
-    "kind_summary",
     "LatencySeries",
     "summarize",
 ]

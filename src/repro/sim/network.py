@@ -192,10 +192,6 @@ class Network:
             return
         for drop in self.drop_filters:
             if drop(src_id, dst_id, message):
-                self.sim.trace.record(
-                    "net.drop", self.sim.now, src=src_id, dst=dst_id,
-                    msg=type(message).__name__,
-                )
                 return
         for tamper in self.tamper_hooks:
             message = tamper(src_id, dst_id, message)
@@ -264,18 +260,10 @@ class Network:
             dst = nodes.get(dst_id)
             if dst is None:
                 dst = self.node(dst_id)  # raises UnknownNodeError
-            if drop_filters:
-                dropped = False
-                for drop in drop_filters:
-                    if drop(src_id, dst_id, message):
-                        sim.trace.record(
-                            "net.drop", now, src=src_id, dst=dst_id,
-                            msg=type(message).__name__,
-                        )
-                        dropped = True
-                        break
-                if dropped:
-                    continue
+            if drop_filters and any(
+                drop(src_id, dst_id, message) for drop in drop_filters
+            ):
+                continue
             delivered = message
             if tamper_hooks:
                 for tamper in tamper_hooks:

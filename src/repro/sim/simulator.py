@@ -1,7 +1,7 @@
 """The discrete-event simulation engine.
 
-:class:`Simulator` owns the virtual clock, the event queues, the seeded
-random generator, and the tracer. Everything else in the library —
+:class:`Simulator` owns the virtual clock, the event queues and the
+seeded random generator. Everything else in the library —
 network links, consensus protocols, the middleware, workloads — schedules
 work through it, so a whole deployment advances deterministically from a
 single seed.
@@ -28,7 +28,6 @@ from typing import Any, Callable, Generator, Optional
 
 from repro.errors import SimulationError
 from repro.sim.events import Event
-from repro.sim.trace import Tracer
 
 
 class Simulator:
@@ -56,7 +55,6 @@ class Simulator:
     def __init__(self, seed: int = 0) -> None:
         self.now: float = 0.0
         self.rng = random.Random(seed)
-        self.trace = Tracer()
         self._heap: list = []
         # Zero-delay ready queue. Invariant: every event in it has
         # ``time == self.now``; the queue drains before the clock

@@ -19,6 +19,7 @@ import pytest
 REPO_ROOT = Path(__file__).resolve().parents[2]
 GATE_FILES = ("Makefile", ".github/workflows/ci.yml")
 _GATE_ARG = re.compile(r"--gate-[a-z-]+\s+([^\s\\]+)")
+_GATE_FLAG = re.compile(r"--gate-[a-z-]+")
 _OUT_ARG = re.compile(r"(?<![\w-])--out[\s=]+([^\s\\]+)")
 
 
@@ -64,6 +65,19 @@ def test_every_gate_input_is_tracked():
     tracked = _tracked_files()
     untracked = sorted(path for path in _gate_inputs() if path not in tracked)
     assert untracked == [], f"gate inputs missing from git: {untracked}"
+
+
+def test_every_makefile_gate_runs_in_ci():
+    # A gate only the Makefile passes never guards a merge.
+    def flags(name):
+        return set(
+            _GATE_FLAG.findall((REPO_ROOT / name).read_text(encoding="utf-8"))
+        )
+
+    makefile_gates = flags("Makefile")
+    assert "--gate-wire-codec" in makefile_gates
+    missing = sorted(makefile_gates - flags(".github/workflows/ci.yml"))
+    assert missing == [], f"Makefile gates CI never runs: {missing}"
 
 
 def test_outputs_are_found():

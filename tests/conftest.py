@@ -43,6 +43,7 @@ def build_four_dc(
     routines_factory=None,
     node_class_overrides=None,
     replication_sets=None,
+    obs=None,
 ) -> BlockplaneDeployment:
     """The paper's four-datacenter AWS deployment."""
     return BlockplaneDeployment(
@@ -52,6 +53,7 @@ def build_four_dc(
         routines_factory=routines_factory,
         node_class_overrides=node_class_overrides,
         replication_sets=replication_sets,
+        obs=obs,
     )
 
 
@@ -59,12 +61,14 @@ def build_pair(
     sim: Simulator,
     rtt_ms: float = 20.0,
     config: BlockplaneConfig = None,
+    obs=None,
 ) -> BlockplaneDeployment:
     """Two participants A and B with a symmetric RTT."""
     return BlockplaneDeployment(
         sim,
         symmetric_topology(["A", "B"], rtt_ms),
         config or BlockplaneConfig(f_independent=1),
+        obs=obs,
     )
 
 

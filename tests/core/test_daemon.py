@@ -1,15 +1,31 @@
 """Tests for communication daemons and reserves."""
 
 from repro.core import BlockplaneConfig
+from repro.obs import Observability
 
 from tests.conftest import build_four_dc, build_pair
 
 
+def retries(obs: Observability, source: str, destination: str) -> float:
+    return obs.counter(
+        "bp_transmission_retries_total",
+        source=source, destination=destination,
+    ).value
+
+
+def promotions(obs: Observability) -> int:
+    return len(obs.journal.of_kind("reserve.promoted"))
+
+
 def test_daemon_ships_committed_sends(sim):
-    deployment = build_pair(sim)
+    obs = Observability()
+    deployment = build_pair(sim, obs=obs)
     sim.run_until_resolved(deployment.api("A").send("x", to="B"))
     sim.run(until=300.0)
-    assert sim.trace.count("bp.transmit") >= 1
+    assert obs.counter(
+        "bp_transmissions_total", source="A", destination="B"
+    ).value >= 1
+    assert obs.journal.of_kind("daemon.ship")
     log_b = deployment.unit("B").gateway_node().local_log
     assert any(entry.record_type == "received" for entry in log_b)
 
@@ -66,7 +82,8 @@ def test_reserve_promotes_when_daemon_withholds(sim):
         reserve_poll_interval_ms=100.0,
         reserve_gap_threshold=0,
     )
-    deployment = build_pair(sim, config=config)
+    obs = Observability()
+    deployment = build_pair(sim, config=config, obs=obs)
     unit_a = deployment.unit("A")
     unit_a.daemons["B"].active = False  # the daemon goes rogue
 
@@ -76,7 +93,7 @@ def test_reserve_promotes_when_daemon_withholds(sim):
 
     sim.run_until_resolved(sim.spawn(sender()))
     sim.run(until=2000.0)
-    assert sim.trace.count("bp.reserve_promoted") >= 1
+    assert promotions(obs) >= 1
     log_b = deployment.unit("B").gateway_node().local_log
     assert any(
         e.record_type == "received" and e.value.record.message == "withheld"
@@ -90,7 +107,8 @@ def test_reserves_do_not_promote_when_daemon_healthy(sim):
         reserve_poll_interval_ms=50.0,
         reserve_gap_threshold=2,
     )
-    deployment = build_pair(sim, config=config)
+    obs = Observability()
+    deployment = build_pair(sim, config=config, obs=obs)
 
     def sender():
         api = deployment.api("A")
@@ -99,7 +117,7 @@ def test_reserves_do_not_promote_when_daemon_healthy(sim):
 
     sim.run_until_resolved(sim.spawn(sender()))
     sim.run(until=2000.0)
-    assert sim.trace.count("bp.reserve_promoted") == 0
+    assert promotions(obs) == 0
 
 
 def test_duplicate_deliveries_from_promoted_reserve_are_harmless(sim):
@@ -138,9 +156,11 @@ def test_reserve_shipments_carry_geo_proofs(sim):
         reserve_poll_interval_ms=100.0,
         reserve_gap_threshold=0,
     )
+    obs = Observability()
     deployment = build_four_dc(
         sim,
         config=config,
+        obs=obs,
         replication_sets={
             "C": ["C", "V", "O"],
             "V": ["C", "V", "O"],
@@ -155,7 +175,7 @@ def test_reserve_shipments_carry_geo_proofs(sim):
 
     sim.run_until_resolved(sim.spawn(sender()), max_events=100_000_000)
     sim.run(until=5000.0, max_events=100_000_000)
-    assert sim.trace.count("bp.reserve_promoted") >= 1
+    assert promotions(obs) >= 1
     log_v = deployment.unit("V").gateway_node().local_log
     delivered = [
         e.value
@@ -227,7 +247,8 @@ def test_retransmission_recovers_loss_without_reserves(sim):
         reserve_poll_interval_ms=60_000.0,
         reserve_gap_threshold=100,
     )
-    deployment = build_pair(sim, config=config)
+    obs = Observability()
+    deployment = build_pair(sim, config=config, obs=obs)
     injector = FaultInjector(sim, deployment.network)
     injector.drop_matching(
         lambda src, dst, msg: isinstance(msg, TransmissionMessage),
@@ -236,8 +257,8 @@ def test_retransmission_recovers_loss_without_reserves(sim):
     )
     sim.run_until_resolved(deployment.api("A").send("retried", to="B"))
     sim.run(until=2_000.0)
-    assert sim.trace.count("bp.retransmit") >= 1
-    assert sim.trace.count("bp.reserve_promoted") == 0
+    assert retries(obs, "A", "B") >= 1
+    assert promotions(obs) == 0
     log_b = deployment.unit("B").gateway_node().local_log
     assert any(
         e.record_type == "received" and e.value.record.message == "retried"
@@ -256,39 +277,47 @@ def test_retransmission_backs_off_and_gives_up(sim):
         reserve_poll_interval_ms=60_000.0,
         reserve_gap_threshold=100,
     )
-    deployment = build_pair(sim, config=config)
+    obs = Observability()
+    deployment = build_pair(sim, config=config, obs=obs)
     injector = FaultInjector(sim, deployment.network)
-    injector.drop_matching(
-        lambda src, dst, msg: isinstance(msg, TransmissionMessage),
-        start=0.0,
-    )
+    # Every shipment of the one record passes the drop predicate, so
+    # the instants it sees are the first shipment then each re-ship.
+    shipped_at = []
+
+    def blackhole(src, dst, msg):
+        if not isinstance(msg, TransmissionMessage):
+            return False
+        if not shipped_at or shipped_at[-1] != sim.now:
+            shipped_at.append(sim.now)
+        return True
+
+    injector.drop_matching(blackhole, start=0.0)
     sim.run_until_resolved(deployment.api("A").send("blackholed", to="B"))
     sim.run(until=10_000.0)
-    retries = [r for r in sim.trace.records if r["kind"] == "bp.retransmit"]
-    assert len(retries) == config.transmission_retry_limit
-    gaps = [
-        later["time"] - earlier["time"]
-        for earlier, later in zip(retries, retries[1:])
-    ]
-    assert all(b > a for a, b in zip(gaps, gaps[1:])) or len(gaps) == 1
-    if len(gaps) >= 2:
-        assert gaps[1] > gaps[0]
-    assert sim.trace.count("bp.retransmit_exhausted") == 1
+    retried_at = shipped_at[1:]
+    assert len(retried_at) == config.transmission_retry_limit
+    assert retries(obs, "A", "B") == config.transmission_retry_limit
+    gaps = [later - earlier for earlier, later in zip(shipped_at, retried_at)]
+    assert all(b > a for a, b in zip(gaps, gaps[1:]))
+    # Out of budget: nothing is left awaiting an ack.
+    assert deployment.unit("A").daemons["B"]._awaiting_ack == {}
 
 
 def test_retry_limit_zero_disables_retransmission(sim):
     config = BlockplaneConfig(f_independent=1, transmission_retry_limit=0)
-    deployment = build_pair(sim, config=config)
+    obs = Observability()
+    deployment = build_pair(sim, config=config, obs=obs)
     sim.run_until_resolved(deployment.api("A").send("once", to="B"))
     sim.run(until=2_000.0)
-    assert sim.trace.count("bp.retransmit") == 0
+    assert retries(obs, "A", "B") == 0
     assert deployment.unit("A").daemons["B"]._awaiting_ack == {}
     log_b = deployment.unit("B").gateway_node().local_log
     assert any(e.record_type == "received" for e in log_b)
 
 
 def test_healthy_network_never_retransmits(sim):
-    deployment = build_pair(sim)
+    obs = Observability()
+    deployment = build_pair(sim, obs=obs)
 
     def sender():
         api = deployment.api("A")
@@ -297,7 +326,7 @@ def test_healthy_network_never_retransmits(sim):
 
     sim.run_until_resolved(sim.spawn(sender()))
     sim.run(until=2_000.0)
-    assert sim.trace.count("bp.retransmit") == 0
+    assert retries(obs, "A", "B") == 0
     assert deployment.unit("A").daemons["B"]._awaiting_ack == {}
 
 

@@ -111,10 +111,15 @@ def test_primary_failure_triggers_takeover(sim):
 
 def test_no_spurious_takeover_while_primary_alive(sim):
     deployment = build(sim)
+    changes = []
+    for site in GEO_SETS:
+        deployment.unit(site).geo.on_primary_change.append(
+            lambda primary, epoch: changes.append((primary, epoch))
+        )
     sim.run(until=2000.0)
     assert deployment.unit("C").geo.is_primary
     assert not deployment.unit("V").geo.is_primary
-    assert sim.trace.count("geo.take_over") == 0
+    assert changes == []
 
 
 def test_new_primary_commits_with_remaining_peers(sim):
@@ -145,7 +150,6 @@ def test_fg_zero_skips_geo_machinery(sim):
     deployment = build_four_dc(sim, config=BlockplaneConfig(f_geo=0))
     sim.run_until_resolved(deployment.api("C").log_commit("v"))
     sim.run(until=sim.now + 100)
-    assert sim.trace.count("geo.proved") == 0
     assert deployment.unit("C").geo is None
 
 

@@ -147,6 +147,24 @@ def test_retransmitted_transmission_is_dropped(sim):
     assert len(log_b) == length_before
 
 
+def test_duplicate_committed_reception_is_skipped_and_counted(sim):
+    # A duplicate that slips past the leader's advisory suppression
+    # (e.g. across a view change) still commits; every replica then
+    # skips it at apply time and counts the skip.
+    deployment = build_pair(sim)
+    sim.run_until_resolved(deployment.api("A").send("m", to="B"))
+    sim.run(until=300.0)
+    for node in deployment.unit("B").nodes:
+        assert node.duplicate_receptions == 0
+        committed = next(
+            entry for entry in node.executed_entries
+            if entry.record_type == "received"
+        )
+        length_before = len(node.local_log)
+        node._apply_entry(committed)
+        assert node.duplicate_receptions == 1
+        assert len(node.local_log) == length_before
+
 def test_forged_transmission_never_commits(sim):
     # A transmission with too few source signatures must be refused by
     # the receive verification routine on every honest node.

@@ -4,7 +4,10 @@ The full-size assertions live in ``benchmarks/``; these quick versions
 keep the drivers themselves under unit-test coverage.
 """
 
+import pytest
+
 from repro.experiments import (
+    ablations,
     fig4_local_commit,
     fig5_geo,
     fig6_communication,
@@ -60,3 +63,14 @@ def test_fig8_primary_driver_small():
     result = fig8_failures.run_primary_failure(batches=30, fail_at=10)
     assert result["final_primary"] == "V"
     assert result["steady_after_ms"] > result["steady_before_ms"]
+
+
+def test_transmission_fanout_ablation_smallest():
+    result = ablations.run_transmission_fanout(fanouts=(1,))
+    assert result == {
+        1: {
+            "delivery_ms": pytest.approx(11.064575),
+            "committed_receptions": 10.0,
+            "duplicates_suppressed": 0.0,
+        }
+    }

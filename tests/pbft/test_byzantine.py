@@ -5,6 +5,7 @@ These validate the claims Blockplane inherits from PBFT: with at most
 progress continues.
 """
 
+from repro.obs import Observability
 from repro.pbft.byzantine import (
     BogusProposer,
     EquivocatingLeader,
@@ -26,10 +27,12 @@ def test_silent_replica_does_not_block_commit():
 
 
 def test_equivocating_leader_cannot_split_honest_replicas():
+    obs = Observability()
     sim, replicas = make_group(
         overrides={0: EquivocatingLeader},
         config=FAST,
         override_kwargs={"forged_value": "EVIL"},
+        obs=obs,
     )
     # Submit through a follower so the byzantine leader orders it.
     future = replicas[1].submit("GOOD")
@@ -47,7 +50,7 @@ def test_equivocating_leader_cannot_split_honest_replicas():
         assert ("EVIL" not in [value for _seq, value in log])
     # Liveness: the request eventually commits (possibly after a view
     # change deposes the equivocator).
-    assert future.resolved or sim.trace.count("pbft.view_change_vote") > 0
+    assert future.resolved or obs.journal.of_kind("pbft.view_change")
 
 
 def test_tampering_voter_cannot_corrupt_agreement():
@@ -62,10 +65,12 @@ def test_bogus_proposer_rejected_by_verification_routines():
     def verifier(value, record_type, meta):
         return value != ("illegal-transition",)
 
+    obs = Observability()
     sim, replicas = make_group(
         overrides={0: BogusProposer},
         config=FAST,
         verifier=verifier,
+        obs=obs,
     )
     future = replicas[1].submit("legal-value")
     sim.run(until=500.0, max_events=20_000_000)
@@ -73,7 +78,10 @@ def test_bogus_proposer_rejected_by_verification_routines():
     for replica in honest:
         executed = [e.value for e in replica.executed_entries]
         assert ("illegal-transition",) not in executed
-    assert sim.trace.count("pbft.verify_reject") > 0
+    assert obs.journal.of_kind("pbft.verify_reject")
+    assert obs.counter(
+        "pbft_verify_rejects_total", participant="DC"
+    ).value > 0
 
 
 def test_f_byzantine_is_masked_but_f_plus_one_can_stall():

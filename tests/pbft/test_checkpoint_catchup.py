@@ -1,5 +1,6 @@
 """PBFT checkpoint and catch-up (recovery) tests."""
 
+from repro.obs import Observability
 from repro.pbft.config import PBFTConfig
 from tests.pbft.helpers import assert_honest_agreement, commit_values, make_group
 
@@ -24,10 +25,11 @@ def test_checkpoint_preserves_executed_entries():
 
 def test_checkpoint_traced():
     config = PBFTConfig(checkpoint_interval=2)
-    sim, replicas = make_group(config=config)
+    obs = Observability()
+    sim, replicas = make_group(config=config, obs=obs)
     commit_values(sim, replicas[0], ["a", "b"])
     sim.run(until=sim.now + 20)
-    assert sim.trace.count("pbft.stable_checkpoint") >= 1
+    assert len(obs.journal.of_kind("pbft.stable_checkpoint")) >= 1
 
 
 def test_crashed_replica_catches_up_on_recovery():

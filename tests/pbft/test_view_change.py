@@ -1,5 +1,6 @@
 """PBFT view-change tests: leader failure, re-election, safety."""
 
+from repro.obs import Observability
 from repro.pbft.config import PBFTConfig
 from tests.pbft.helpers import assert_honest_agreement, commit_values, make_group
 
@@ -82,11 +83,15 @@ def test_committed_entries_survive_view_change():
 
 
 def test_view_change_vote_traced():
-    sim, replicas = make_group(config=FAST)
+    obs = Observability()
+    sim, replicas = make_group(config=FAST, obs=obs)
     replicas[0].crash()
     sim.run_until_resolved(replicas[1].submit("x"), max_events=20_000_000)
-    assert sim.trace.count("pbft.view_change_vote") >= 1
-    assert sim.trace.count("pbft.new_view") >= 1
+    assert len(obs.journal.of_kind("pbft.view_change")) >= 1
+    assert len(obs.journal.of_kind("pbft.new_view")) >= 1
+    assert obs.counter(
+        "pbft_view_changes_total", participant="DC"
+    ).value >= 1
 
 
 def test_recovered_old_leader_catches_up():

@@ -1,9 +1,8 @@
-"""Unit tests for metrics aggregation and tracing."""
+"""Unit tests for metrics aggregation."""
 
 import pytest
 
 from repro.sim.metrics import LatencySeries, summarize, throughput_mb_per_s
-from repro.sim.trace import Tracer
 
 
 def test_latency_series_stats():
@@ -93,49 +92,3 @@ def test_throughput_identity():
 
 def test_throughput_zero_time():
     assert throughput_mb_per_s(1000, 0.0) == 0.0
-
-
-def test_tracer_records_and_counts():
-    tracer = Tracer()
-    tracer.record("commit", 1.0, seq=1)
-    tracer.record("commit", 2.0, seq=2)
-    tracer.record("other", 3.0)
-    assert tracer.count("commit") == 2
-    assert [r["seq"] for r in tracer.of_kind("commit")] == [1, 2]
-    assert tracer.last("commit")["seq"] == 2
-    assert tracer.last("missing") is None
-
-
-def test_tracer_disabled_still_counts():
-    tracer = Tracer(enabled=False)
-    tracer.record("x", 1.0)
-    assert tracer.count("x") == 1
-    assert tracer.records == []
-
-
-def test_tracer_clear():
-    tracer = Tracer()
-    tracer.record("x", 1.0)
-    tracer.clear()
-    assert tracer.count("x") == 0
-    assert tracer.records == []
-
-
-def test_tracer_uncapped_by_default():
-    tracer = Tracer()
-    for index in range(1000):
-        tracer.record("x", float(index), seq=index)
-    assert len(tracer.records) == 1000
-    assert isinstance(tracer.records, list)
-
-
-def test_tracer_ring_buffer_cap():
-    tracer = Tracer(max_records=3)
-    for index in range(10):
-        tracer.record("x", float(index), seq=index)
-    assert len(tracer.records) == 3
-    assert [r["seq"] for r in tracer.records] == [7, 8, 9]  # newest kept
-    assert tracer.count("x") == 10  # counters see everything
-    assert tracer.last("x")["seq"] == 9
-    tracer.clear()
-    assert len(tracer.records) == 0

@@ -5,6 +5,7 @@ import dataclasses
 import pytest
 
 from repro.errors import ProtocolError
+from repro.obs import Observability
 from repro.sim.network import Network
 from repro.sim.node import Message, Node
 from repro.sim.simulator import Simulator
@@ -122,7 +123,11 @@ def test_recover_hook_called():
 
 def test_crash_recover_traced():
     sim, _network, a, _b = make_env()
+    a.obs = Observability()
+    a.obs.bind_clock(sim)
     a.crash()
     a.recover()
-    assert sim.trace.count("node.crash") == 1
-    assert sim.trace.count("node.recover") == 1
+    assert [(e.kind, e.node) for e in a.obs.journal.events()] == [
+        ("node.crash", "a"),
+        ("node.recover", "a"),
+    ]
